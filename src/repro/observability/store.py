@@ -31,7 +31,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.campaign.statepoint import ID_HASH_LEN, statepoint_hash
 from repro.errors import ObservabilityError

@@ -1,5 +1,9 @@
 """Drivers that run the four DYFLOW stages against a workflow.
 
+Both subclass :class:`~repro.runtime.loop.ControlLoop` (``loop.py``),
+the clock-agnostic core of the control loop; each driver adds only its
+clock, transport and task control.
+
 * :class:`DyflowOrchestrator` — the simulated driver: stages tick on the
   discrete-event clock, reproducing the paper's experiments
   deterministically.

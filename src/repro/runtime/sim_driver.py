@@ -22,32 +22,21 @@ from typing import Callable
 
 from repro.core.arbitration import ArbitrationStage
 from repro.core.actuation import ActuationStage
-from repro.core.decision import DecisionStage
 from repro.core.lowlevel import ActionPlan
-from repro.core.monitor import MonitorClient, MonitorServer
-from repro.core.policy import PolicyApplication, PolicySpec
+from repro.core.monitor import MonitorClient
 from repro.core.rules import ArbitrationRules
-from repro.core.sensors.base import SensorInstance, SensorSpec
-from repro.core.sensors.sources import make_source
 from repro.errors import DyflowError, JournalError
-from repro.fabric import DegradedModeController, FabricLink
-from repro.observability import (
-    HealthEngine,
-    ObservabilitySpec,
-    report_from_run,
-    write_openmetrics,
-    write_report,
-)
 from repro.profiler.sampling import CoreProfiler
 from repro.resilience import ChaosEngine, HeartbeatWatchdog
-from repro.runtime.options import _UNSET, RuntimeOptions, resolve_options
-from repro.telemetry import build_tracer, write_chrome_trace
+from repro.resilience.spec import ResilienceSpec
+from repro.runtime.loop import ControlLoop
+from repro.runtime.options import RuntimeOptions
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.util.jsonmsg import Envelope
 from repro.wms.launcher import Savanna
 
 
-class DyflowOrchestrator:
+class DyflowOrchestrator(ControlLoop):
     """Bootstrap + service loop for one workflow on one allocation."""
 
     def __init__(
@@ -63,79 +52,46 @@ class DyflowOrchestrator:
         graceful_stops: bool = True,
         core_quota: int | None = None,
         options: RuntimeOptions | None = None,
-        telemetry=_UNSET,
         tracer: Tracer | None = None,
-        observability=_UNSET,
-        journal=_UNSET,
         ignore_crash_requests: bool = False,
         on_crash: Callable[["DyflowOrchestrator"], None] | None = None,
-        preflight=_UNSET,
     ) -> None:
-        from repro.lint.preflight import check_mode
-
-        # telemetry=/observability=/journal=/preflight= are deprecated
-        # shims (one release); new code passes options=RuntimeOptions(...).
-        opts = resolve_options(
-            "DyflowOrchestrator",
-            options,
-            {
-                "telemetry": telemetry,
-                "observability": observability,
-                "journal": journal,
-                "preflight": preflight,
-            },
-        )
-        self.options = opts
-        telemetry = opts.telemetry
-        observability = opts.observability
-        journal = opts.journal
+        opts = options if options is not None else RuntimeOptions()
         if opts.resilience is not None:
             launcher.configure_resilience(opts.resilience)
-        self.preflight = check_mode(opts.preflight)
         self.launcher = launcher
         self.engine = launcher.engine
+        super().__init__(
+            opts,
+            workflow_id=launcher.workflow.workflow_id,
+            hub=launcher.hub,
+            tasks=launcher.workflow.tasks,
+            clients=[
+                MonitorClient(f"client-{i}", launcher.perf) for i in range(max(1, num_clients))
+            ],
+            clock=lambda: self.engine.now,
+            tracer=tracer,
+            rng=launcher.rng,
+            resilience=launcher.resilience,
+            record_history=record_history,
+        )
         self.rules = rules if rules is not None else ArbitrationRules.from_workflow(launcher.workflow)
         self.poll_interval = poll_interval
-        self.telemetry = telemetry
-        if tracer is None:
-            tracer = build_tracer(telemetry, clock=lambda: self.engine.now)
-        self.tracer = tracer
-        self._telemetry_finalized = False
-        launcher.attach_tracer(tracer)
-        self.clients = [
-            MonitorClient(f"client-{i}", launcher.perf) for i in range(max(1, num_clients))
-        ]
-        self.decision = DecisionStage()
-        self.server = MonitorServer(on_updates=self.decision.ingest, record_history=record_history)
+        launcher.attach_tracer(self.tracer)
         self.arbitration = ArbitrationStage(
             launcher, self.rules, warmup=warmup, settle=settle,
             allow_victims=allow_victims, graceful_stops=graceful_stops,
             core_quota=core_quota,
         )
         self.actuation = ActuationStage(launcher)
-        self.server.set_tracer(tracer, clock=lambda: self.engine.now)
-        self.decision.set_tracer(tracer)
-        self.arbitration.set_tracer(tracer)
-        self.actuation.set_tracer(tracer)
-        # Observability: the health engine evaluates SLOs/anomalies on the
-        # orchestrator tick and publishes the results back into the Monitor
-        # stage via HEALTH sensor sources (see docs/observability.md).
-        self.observability = observability
-        self.health: HealthEngine | None = None
-        if observability is not None and observability.enabled:
-            self.health = HealthEngine(
-                observability,
-                tracer=tracer,
-                workflow_id=launcher.workflow.workflow_id,
-                aggregates=self._health_aggregates,
-            )
+        self.arbitration.set_tracer(self.tracer)
+        self.actuation.set_tracer(self.tracer)
         # Continuous core profiling: cadenced kernel samples + a bounded
         # flight recorder dumped on crash (repro.profiler.sampling).
         self.profiler: CoreProfiler | None = None
         if opts.profile is not None and opts.profile.enabled:
             self.profiler = CoreProfiler(opts.profile)
             self.profiler.bind(engine=self.engine, arbitration=self.arbitration)
-        self._sensors: dict[str, SensorSpec] = {}
         self._running = False
         self._stop_when: Callable[[], bool] | None = None
         launcher.subscribe_start(self._on_task_start)
@@ -150,37 +106,8 @@ class DyflowOrchestrator:
         if spec is not None and spec.faults is not None and spec.faults.any_enabled:
             self.chaos = ChaosEngine(launcher, spec.faults)
             self.chaos.orchestrator = self
-        # Monitor fabric: each client's envelopes cross a FabricLink
-        # (lossy transport + ack/retransmit reliability), land in the
-        # server's bounded ingress queue, and are drained at the tick;
-        # ingest staleness drives the Decision stage's degraded mode.
-        self.network = spec.network if spec is not None else None
-        if self.network is not None and not self.network.enabled:
-            self.network = None
-        self.links: dict[str, FabricLink] = {}
-        self.degrade: DegradedModeController | None = None
-        if self.network is not None:
-            self.network.validate()
-            for c in self.clients:
-                self.links[c.client_id] = FabricLink(
-                    c.client_id, self.network, launcher.rng, tracer=tracer
-                )
-            self.server.configure_fabric(self.network)
-            self.degrade = DegradedModeController(self.network)
-        # Crash-recovery machinery.  `journal` may be a JournalSpec (the
-        # journal is opened at start()) or an already-open Journal.
-        self._journal = None
-        self._journal_spec = None
-        if journal is not None:
-            from repro.journal import Journal, JournalSpec
-
-            if isinstance(journal, Journal):
-                self._journal = journal
-            elif isinstance(journal, JournalSpec):
-                if journal.enabled:
-                    self._journal_spec = journal
-            else:
-                raise DyflowError(f"journal must be a Journal or JournalSpec, got {journal!r}")
+        # Crash-recovery machinery (the journal itself is resolved by
+        # ControlLoop and opened at start()).
         self.ignore_crash_requests = ignore_crash_requests
         self.on_crash = on_crash
         self.crashed = False
@@ -205,52 +132,10 @@ class DyflowOrchestrator:
         # tick's collect phase is registering deliveries.
         self._batch_slots: dict[float, tuple[object, list[int]]] | None = None
 
-    # -- bootstrap configuration ---------------------------------------------------
-    def add_sensor(self, spec: SensorSpec) -> None:
-        if spec.sensor_id in self._sensors:
-            raise DyflowError(f"duplicate sensor id {spec.sensor_id!r}")
-        self._sensors[spec.sensor_id] = spec
-
-    def monitor_task(
-        self,
-        task: str,
-        sensor_id: str,
-        info_source: str | None = None,
-        var: str | None = None,
-        client: int = 0,
-    ) -> SensorInstance:
-        """Bind a sensor to a monitored task on one Monitor client."""
-        spec = self._sensors.get(sensor_id)
-        if spec is None:
-            raise DyflowError(f"monitor-task references unknown sensor {sensor_id!r}")
-        if spec.source_type.upper() == "HEALTH":
-            # Health streams monitor the orchestrator itself, not a
-            # workflow task: bind straight to the health engine's feed.
-            if self.health is None:
-                raise DyflowError(
-                    f"sensor {sensor_id!r} uses a HEALTH source but the orchestrator "
-                    "has no enabled ObservabilitySpec (pass observability=...)"
-                )
-            source: object = self.health.bind_source(var)
-        else:
-            if task not in self.launcher.workflow.tasks:
-                raise DyflowError(f"monitor-task references unknown task {task!r}")
-            source = make_source(
-                spec.source_type,
-                self.launcher.hub,
-                self.launcher.workflow.workflow_id,
-                task,
-                info_source=info_source,
-                var=var,
-            )
-        instance = SensorInstance(
-            spec=spec,
-            workflow_id=self.launcher.workflow.workflow_id,
-            task=task,
-            source=source,
-        )
-        self.clients[client % len(self.clients)].add_binding(instance)
-        return instance
+    @property
+    def resilience(self) -> ResilienceSpec | None:
+        """The launcher's resilience spec (the launcher owns retry/quarantine)."""
+        return self.launcher.resilience
 
     def _health_aggregates(self) -> dict[str, float]:
         """Runtime-level health aggregates published every evaluation."""
@@ -266,12 +151,6 @@ class DyflowOrchestrator:
         }
         return out
 
-    def add_policy(self, spec: PolicySpec) -> None:
-        self.decision.add_policy(spec)
-
-    def apply_policy(self, application: PolicyApplication) -> None:
-        self.decision.apply_policy(application)
-
     # -- service ----------------------------------------------------------------------
     def start(self, stop_when: Callable[[], bool] | None = None) -> None:
         """Start the DYFLOW service loop on the event clock.
@@ -281,18 +160,10 @@ class DyflowOrchestrator:
         """
         if self._running:
             raise DyflowError("orchestrator already running")
-        if self.preflight != "off":
-            # Pure static analysis: draws no RNG stream, reads no clock,
-            # so a passing spec runs bit-identically with preflight on.
-            from repro.lint.preflight import preflight_orchestrator
-
-            preflight_orchestrator(self, self.preflight)
+        self._run_preflight(machine=self.launcher.machine, workflow=self.launcher.workflow)
         self._running = True
         self._stop_when = stop_when
-        if self._journal is None and self._journal_spec is not None:
-            from repro.journal import Journal
-
-            self._journal = Journal.open(self._journal_spec, metrics=self.tracer.metrics)
+        self._open_journal()
         if self._journal is not None:
             self._journal.append(
                 "meta",
@@ -321,12 +192,7 @@ class DyflowOrchestrator:
         self._close_journal()
         self.finalize_telemetry()
 
-    def finalize_telemetry(self) -> None:
-        """Flush the JSONL log and write the Chrome trace and observability
-        exports (OpenMetrics, run report), if configured."""
-        if self._telemetry_finalized or not self.tracer.enabled:
-            return
-        self._telemetry_finalized = True
+    def _final_points(self) -> None:
         q = self.launcher.quarantine
         if q is not None and q.history:
             # Lazy release means there is no event site for releases; the
@@ -335,32 +201,9 @@ class DyflowOrchestrator:
                 "run.quarantine-history", "wms",
                 events=[[e.time, e.node_id, e.kind] for e in q.history],
             )
-        self.tracer.flush()
-        if self.telemetry is not None and self.telemetry.chrome_trace_path is not None:
-            write_chrome_trace(self.telemetry.chrome_trace_path, self.tracer)
-        self._write_observability_outputs()
 
-    def _write_observability_outputs(self) -> None:
-        spec = self.observability
-        if spec is None or not spec.enabled:
-            return
-        if spec.openmetrics_path is not None:
-            write_openmetrics(spec.openmetrics_path, self.tracer.metrics)
-        if spec.analysis and (spec.report_path is not None or spec.report_json_path is not None):
-            report = report_from_run(
-                self.tracer,
-                launcher=self.launcher,
-                alerts=self.health.alerts if self.health is not None else (),
-                top_n=spec.top_n,
-                end=self.engine.now,
-                meta={"workflow": self.launcher.workflow.workflow_id},
-            )
-            write_report(report, path=spec.report_path, json_path=spec.report_json_path)
-
-    def _close_journal(self) -> None:
-        if self._journal is not None and not self._journal.closed:
-            self._journal.sync()
-            self._journal.close()
+    def _report_context(self) -> dict:
+        return {"launcher": self.launcher, "end": self.engine.now}
 
     # -- the control loop (one tick == one journaled barrier) -------------------------
     def _tick(self) -> None:
@@ -396,13 +239,7 @@ class DyflowOrchestrator:
         finally:
             self._batch_slots = None
         if self.network is not None:
-            self._drain_ingress(now)
-        if self.degrade is not None:
-            for alert in self.degrade.tick(now, self.server.last_seen):
-                if self.health is not None:
-                    self.health.alerts.append(alert)
-                self.tracer.point("health.alert", "health", **alert.to_dict())
-            self.decision.set_degraded(self.degrade.degraded)
+            self._drain_ingress(now, self._journal)
         # Decision: evaluate due policies on data delivered so far;
         # degraded mode gates non-essential suggestions afterwards.
         suggestions = self.decision.gate(self.decision.tick(now))
@@ -494,13 +331,6 @@ class DyflowOrchestrator:
             ack_at = link.plan_ack(env, self.engine.now)
             if ack_at is not None:
                 self._register_delivery(ack_at, env, kind="ack", link=link_id)
-
-    def _drain_ingress(self, now: float) -> None:
-        for env in self.server.take_ingress():
-            if self._journal is not None and not self._journal.closed:
-                self._journal.append("obs", env=env.to_json())
-            self.server.note_staleness(max(0.0, now - env.time))
-            self.server.receive(env)
 
     # -- journaling --------------------------------------------------------------------
     def _journal_barrier(self, now: float) -> None:

@@ -1,34 +1,17 @@
-"""RuntimeOptions: the consolidated runtime-configuration bundle.
-
-Covers the one-release deprecation contract for the legacy per-subsystem
-constructor kwargs: each emits exactly one DeprecationWarning per
-process, mixing them with ``options=`` is an error, and the shims
-produce the same configuration as the options path.
-"""
-
-import warnings
+"""RuntimeOptions: the consolidated runtime-configuration bundle."""
 
 import pytest
 
 from repro.apps import ConstantModel, IterativeApp
 from repro.cluster import Allocation, summit
-from repro.errors import DyflowError
 from repro.journal import JournalSpec
 from repro.observability import ObservabilitySpec
 from repro.resilience import ResilienceSpec, RetryPolicy
 from repro.runtime import DyflowOrchestrator, RuntimeOptions, ThreadedDyflow
 from repro.sim import RngRegistry, SimEngine
 from repro.telemetry import TelemetrySpec
-from repro.util.deprecation import reset_warned
 from repro.wms import Savanna, TaskSpec, WorkflowSpec
 from repro.xmlspec.model import DyflowSpec
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    reset_warned()
-    yield
-    reset_warned()
 
 
 def make_launcher():
@@ -104,38 +87,10 @@ class TestOrchestratorOptions:
         orch = DyflowOrchestrator(sav, options=RuntimeOptions(batch_deliveries=False))
         assert orch.batch_deliveries is False
 
-    @pytest.mark.parametrize("kwarg,value", [
-        ("telemetry", None),
-        ("observability", None),
-        ("journal", None),
-        ("preflight", "off"),
-    ])
-    def test_legacy_kwarg_warns_exactly_once(self, kwarg, value):
-        eng, sav = make_launcher()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            DyflowOrchestrator(sav, **{kwarg: value})
-            DyflowOrchestrator(sav, **{kwarg: value})
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert kwarg in str(deprecations[0].message)
-        assert "RuntimeOptions" in str(deprecations[0].message)
-
-    def test_legacy_kwarg_value_still_lands(self):
-        eng, sav = make_launcher()
-        telemetry = TelemetrySpec(enabled=True)
-        with pytest.warns(DeprecationWarning, match="telemetry"):
-            orch = DyflowOrchestrator(sav, telemetry=telemetry)
-        assert orch.telemetry is telemetry
-        assert orch.options.telemetry is telemetry
-
     def test_options_plus_legacy_kwarg_rejected(self):
         eng, sav = make_launcher()
-        with pytest.warns(DeprecationWarning, match="preflight"):
-            with pytest.raises(DyflowError, match="preflight"):
-                DyflowOrchestrator(
-                    sav, options=RuntimeOptions(), preflight="strict"
-                )
+        with pytest.raises(TypeError, match="preflight"):
+            DyflowOrchestrator(sav, options=RuntimeOptions(), preflight="strict")
 
 
 class TestThreadedOptions:
@@ -147,35 +102,6 @@ class TestThreadedOptions:
         assert runner.resilience is spec
         assert runner.preflight == "warn"
 
-    @pytest.mark.parametrize("kwarg,value", [
-        ("resilience", None),
-        ("telemetry", None),
-        ("observability", None),
-        ("journal", None),
-        ("preflight", "off"),
-    ])
-    def test_legacy_kwarg_warns_exactly_once(self, kwarg, value):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ThreadedDyflow("WF", [], **{kwarg: value})
-            ThreadedDyflow("WF", [], **{kwarg: value})
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert kwarg in str(deprecations[0].message)
-
     def test_options_plus_legacy_kwarg_rejected(self):
-        with pytest.warns(DeprecationWarning, match="journal"):
-            with pytest.raises(DyflowError, match="journal"):
-                ThreadedDyflow("WF", [], options=RuntimeOptions(), journal=None)
-
-    def test_warn_keys_are_per_runtime(self):
-        # DyflowOrchestrator.telemetry and ThreadedDyflow.telemetry are
-        # separate deprecation keys: migrating one runtime's callers
-        # must not silence the other's warning.
-        eng, sav = make_launcher()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            DyflowOrchestrator(sav, telemetry=None)
-            ThreadedDyflow("WF", [], telemetry=None)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2
+        with pytest.raises(TypeError, match="journal"):
+            ThreadedDyflow("WF", [], options=RuntimeOptions(), journal=None)

@@ -1,49 +1,17 @@
-"""Warn-once deprecation machinery (the shims themselves are gone)."""
-
-import warnings
+"""Removed compatibility shims stay removed."""
 
 import pytest
 
-from repro.util.deprecation import reset_warned, warn_once
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    reset_warned()
-    yield
-    reset_warned()
-
-
-def test_warns_exactly_once_per_key():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        warn_once("k1", "old thing")
-        warn_once("k1", "old thing")
-        warn_once("k1", "old thing")
-    assert len(caught) == 1
-    assert caught[0].category is DeprecationWarning
-    assert "old thing" in str(caught[0].message)
-
-
-def test_distinct_keys_each_warn():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        warn_once("a", "m")
-        warn_once("b", "m")
-    assert len(caught) == 2
-
-
-def test_reset_warned_allows_rewarning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        warn_once("k", "m")
-        reset_warned()
-        warn_once("k", "m")
-    assert len(caught) == 2
+from repro.apps import ConstantModel, IterativeApp
+from repro.cluster import Allocation, summit
+from repro.runtime import DyflowOrchestrator, ThreadedDyflow
+from repro.sim import RngRegistry, SimEngine
+from repro.wms import Savanna, TaskSpec, WorkflowSpec
 
 
 class TestRemovedShims:
-    """The PR 2 renamed-API shims were removed once callers migrated."""
+    """Renamed-API shims and deprecated constructor kwargs, removed once
+    callers migrated."""
 
     def test_monitor_receive_is_positional_only_api(self):
         from repro.core.monitor import MonitorServer
@@ -69,3 +37,19 @@ class TestRemovedShims:
 
         runner = ThreadedDyflow("WF", tasks=[])
         assert not hasattr(runner, "shutdown")
+
+    def test_per_subsystem_kwargs_raise_type_error(self):
+        # Folded into options=RuntimeOptions(...); the drivers no longer
+        # accept them (resilience= was only ever a threaded-driver kwarg).
+        m = summit(2)
+        wf = WorkflowSpec(
+            "W", [TaskSpec("T", lambda: IterativeApp(ConstantModel(5.0)), nprocs=4)], []
+        )
+        sav = Savanna(SimEngine(), wf, Allocation("a0", m, m.nodes, walltime_limit=1e9),
+                      rng=RngRegistry(1))
+        for kwarg in ("telemetry", "observability", "journal", "preflight"):
+            with pytest.raises(TypeError, match=kwarg):
+                DyflowOrchestrator(sav, **{kwarg: None})
+        for kwarg in ("telemetry", "observability", "journal", "preflight", "resilience"):
+            with pytest.raises(TypeError, match=kwarg):
+                ThreadedDyflow("WF", [], **{kwarg: None})
