@@ -4,13 +4,13 @@ Drives the synthetic N-task scenario (``repro.experiments.synthetic``)
 at 1k/5k/10k tasks and reports how fast the discrete-event core and the
 four-stage control loop chew through it.  The artifact
 (``BENCH_core_throughput.json``) is the budget every future PR is held
-to: the ``core-throughput-smoke`` CI job re-runs the smoke size and
-fails when ticks/sec regresses more than 10% against the committed
+to: the ``core-throughput-smoke`` CI job re-runs the 1k and 5k sizes
+and fails when ticks/sec regresses more than 10% against the committed
 numbers.
 
 CLI usage (what CI runs)::
 
-    PYTHONPATH=src python benchmarks/bench_core_throughput.py --smoke \
+    PYTHONPATH=src python benchmarks/bench_core_throughput.py --sizes 1000 5000 \
         --check benchmarks/BENCH_core_throughput.json
 
 ``--smoke`` runs only the 1k-task size; ``--check`` compares

@@ -101,12 +101,24 @@ class ResourceManager:
         return ResourceSet(self._per_node)
 
     def free(self) -> ResourceSet:
-        """Unassigned cores on healthy nodes."""
-        return self.allocation.full_resources().subtract(
-            self.assigned_total().restrict_to(
-                {n.node_id for n in self.allocation.healthy_nodes()}
-            )
-        )
+        """Unassigned cores on healthy nodes.
+
+        One pass over the allocation's nodes using the incremental
+        per-node totals; raises :class:`AllocationError` if a healthy
+        node has more cores assigned than it holds.
+        """
+        per_node = self._per_node
+        free: dict[str, int] = {}
+        for node in self.allocation.nodes:
+            if node.state != NodeState.UP:
+                continue
+            used = per_node.get(node.node_id, 0)
+            if used > node.cores:
+                raise AllocationError(
+                    f"cannot subtract {used} cores on {node.node_id}: only {node.cores} present"
+                )
+            free[node.node_id] = node.cores - used
+        return ResourceSet(free)
 
     def free_cores(self) -> int:
         return self.free().total_cores

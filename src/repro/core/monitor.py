@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.machine import MachinePerf
 from repro.core.events import MetricUpdate
-from repro.core.sensors.base import SensorInstance
+from repro.core.sensors.base import SensorInstance, SensorSpec
 from repro.errors import SensorError
 from repro.telemetry.metrics import LatencyHistogram
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -56,12 +56,24 @@ class MonitorClient:
         self.client_id = client_id
         self.perf = perf
         self._bindings: list[MonitorTaskBinding] = []
+        # Filed at add_binding time so a tick costs only what changed:
+        # restarts visit one task's bindings, and collect reads each
+        # sensor's read lag and spec without rescanning the bindings.
+        self._by_task: dict[str, list[MonitorTaskBinding]] = {}
+        self._lags: dict[str, float] = {}
+        self._specs: dict[str, SensorSpec] = {}
         self._seq = SequenceTracker()
 
     # -- configuration -----------------------------------------------------------
     def add_binding(self, instance: SensorInstance) -> MonitorTaskBinding:
         binding = MonitorTaskBinding(instance)
         self._bindings.append(binding)
+        self._by_task.setdefault(instance.task, []).append(binding)
+        sensor_id = instance.spec.sensor_id
+        self._lags[sensor_id] = max(
+            self._lags.get(sensor_id, 0.0), instance.source.read_lag(self.perf)
+        )
+        self._specs.setdefault(sensor_id, instance.spec)
         return binding
 
     @property
@@ -71,9 +83,8 @@ class MonitorClient:
     # -- lifecycle ----------------------------------------------------------------
     def on_task_restart(self, task: str) -> None:
         """Reset connections of every sensor watching *task* (§2.1)."""
-        for b in self._bindings:
-            if b.task == task:
-                b.instance.reconnect()
+        for b in self._by_task.get(task, ()):
+            b.instance.reconnect()
 
     # -- crash recovery ------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -98,29 +109,29 @@ class MonitorClient:
 
     # -- collection ------------------------------------------------------------------
     def collect(self, now: float) -> list[tuple[float, Envelope]]:
-        """Run every sensor; return ``(read_lag, envelope)`` pairs.
+        """Run every ready sensor; return ``(read_lag, envelope)`` pairs.
 
         One envelope is emitted per sensor per round (collecting the
-        updates of all its task bindings).  Joined sensors are resolved
+        updates of all its task bindings).  Bindings whose source has
+        nothing to read (:meth:`DataSource.ready` is False) are skipped;
+        the rest are polled in creation order, so the envelopes match a
+        round that polls every binding.  Joined sensors are resolved
         within the round: a sensor with a ``join`` spec pairs its updates
         with the partner sensor's from the same round, matched on
         (granularity, key, step).
         """
         round_updates: dict[str, list[MetricUpdate]] = {}
-        lags: dict[str, float] = {}
-        specs: dict[str, SensorInstance] = {}
         for b in self._bindings:
-            ups = b.instance.poll(now)
+            instance = b.instance
+            if not instance.source.ready():
+                continue
+            ups = instance.poll(now)
             if ups:
-                round_updates.setdefault(b.sensor_id, []).extend(ups)
-            lags[b.sensor_id] = max(
-                lags.get(b.sensor_id, 0.0), b.instance.source.read_lag(self.perf)
-            )
-            specs.setdefault(b.sensor_id, b.instance)
+                round_updates.setdefault(instance.spec.sensor_id, []).extend(ups)
 
         out: list[tuple[float, Envelope]] = []
         for sensor_id, ups in round_updates.items():
-            spec = specs[sensor_id].spec
+            spec = self._specs[sensor_id]
             if spec.join is not None:
                 ups = self._join(spec, ups, round_updates.get(spec.join.other_sensor_id, []))
             if not ups:
@@ -134,7 +145,7 @@ class MonitorClient:
             # Cache the originals so an in-process server skips re-decoding
             # the payload dicts (to_dict/from_dict round-trips exactly).
             env.attach_decoded(tuple(ups))
-            out.append((lags.get(sensor_id, self.perf.file_read_lag), env))
+            out.append((self._lags[sensor_id], env))
         return out
 
     @staticmethod

@@ -9,7 +9,8 @@ The implementation supports the paper's source types:
 * ``ERRORSTATUS`` — exit statuses saved by Savanna when tasks end.
 
 Each adapter exposes ``poll(now) -> list[Sample]`` (new observations
-since the previous poll), ``reconnect()`` for task restarts, and
+since the previous poll), ``ready()`` (whether a poll could return
+anything), ``reconnect()`` for task restarts, and
 ``read_lag(perf)`` — the per-source read latency the cost analysis in
 §4.6 measured (≈0.2 s for a file variable, ≈0.5 s for streamed TAU data).
 """
@@ -33,6 +34,15 @@ class DataSource:
 
     def poll(self, now: float) -> list[Sample]:
         raise NotImplementedError
+
+    def ready(self) -> bool:
+        """False only when :meth:`poll` would return nothing and change no state.
+
+        Monitor clients skip sources that are not ready.  The default is
+        always-ready, so sources that cannot tell cheaply are polled
+        every round.
+        """
+        return True
 
     def reconnect(self) -> None:
         """Re-establish connections after the monitored task restarted."""
@@ -79,6 +89,13 @@ class StreamSource(DataSource):
             self._reader = channel.open_reader(f"monitor:{self.task}")
             self._reader.seek_latest()
         return self._reader
+
+    def ready(self) -> bool:
+        # An unopened reader must be polled once to connect; a cursor
+        # behind the channel has new (or evicted, still to be counted
+        # as missed) steps.
+        reader = self._reader
+        return reader is None or reader.cursor < reader.channel.next_step
 
     def poll(self, now: float) -> list[Sample]:
         reader = self._ensure_reader()

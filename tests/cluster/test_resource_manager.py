@@ -150,7 +150,7 @@ def op_sequences(draw):
     return draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["assign", "grow", "shrink", "release"]),
+                st.sampled_from(["assign", "grow", "shrink", "release", "fail", "recover"]),
                 st.sampled_from(["t1", "t2", "t3"]),
                 st.integers(1, 30),
             ),
@@ -159,16 +159,24 @@ def op_sequences(draw):
     )
 
 
+def reference_free(rm: ResourceManager) -> ResourceSet:
+    """The set-algebra definition of free cores that ``free()`` must match."""
+    healthy = {n.node_id for n in rm.allocation.healthy_nodes()}
+    return rm.allocation.full_resources().subtract(rm.assigned_total().restrict_to(healthy))
+
+
 class TestConservationProperty:
     @settings(max_examples=60)
     @given(op_sequences())
     def test_invariant_after_arbitrary_ops(self, ops):
-        """assigned + free == allocation capacity after any legal op mix."""
+        """assigned + free == healthy capacity after any legal op mix,
+        including node failures and recoveries; ``free()`` equals the
+        set-algebra reference at every step."""
         m = summit(3)
         alloc = Allocation("a0", m, m.nodes, walltime_limit=1e9)
         rm = ResourceManager(alloc)
-        capacity = alloc.total_cores
         for op, owner, n in ops:
+            node = m.nodes[n % len(m.nodes)]
             try:
                 if op == "assign":
                     rm.assign(owner, n)
@@ -176,9 +184,26 @@ class TestConservationProperty:
                     rm.grow(owner, n)
                 elif op == "shrink":
                     rm.shrink(owner, n)
+                elif op == "fail":
+                    if node.is_up:
+                        node.fail()
+                        rm.on_node_failure(node.node_id)
+                elif op == "recover":
+                    if not node.is_up:
+                        node.recover()
                 else:
                     rm.release(owner)
             except AllocationError:
                 pass  # illegal op rejected; state must stay consistent
             rm.check_invariants()
-            assert rm.assigned_total().total_cores + rm.free_cores() == capacity
+            assert rm.free() == reference_free(rm)
+            assert rm.assigned_total().total_cores + rm.free_cores() == alloc.total_cores
+
+    def test_free_rejects_oversubscribed_node(self):
+        """Bookkeeping beyond a node's capacity surfaces as AllocationError."""
+        _m, rm = make_rm(1)
+        rm.load_state_dict({"t1": {"summit0000": 43}})
+        with pytest.raises(AllocationError, match="only 42 present"):
+            rm.free()
+        with pytest.raises(AllocationError, match="only 42 present"):
+            reference_free(rm)
